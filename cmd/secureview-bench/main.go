@@ -1,5 +1,6 @@
 // Command secureview-bench runs the reproduction experiments E1–E23 (see
-// DESIGN.md section 4 and EXPERIMENTS.md) and prints their result tables.
+// README.md, "Quickstart" and "Package map") and prints their result
+// tables.
 //
 // Usage:
 //

@@ -101,5 +101,6 @@
 // cmd/secureview-mine (mine hard instances into the committed corpus),
 // cmd/secureview-bench (reproduce the experiment tables), cmd/worlds
 // (world counting), and the runnable programs under examples/. See
-// DESIGN.md and EXPERIMENTS.md.
+// README.md for the package map, the solver layer, serving and how to
+// reproduce the experiment tables.
 package secureview

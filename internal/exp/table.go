@@ -1,9 +1,10 @@
 // Package exp is the experiment harness: it hosts the registry of
 // reproduction experiments E1–E23 (one per paper artifact plus the
-// engineering experiments, see DESIGN.md section 4) and renders their
-// results as aligned text tables. The cmd/secureview-bench binary and the
-// root benchmarks both drive this registry; EXPERIMENTS.md records its
-// output.
+// engineering experiments; README.md "Quickstart" shows how to run them)
+// and renders their results as aligned text tables. The
+// cmd/secureview-bench binary and the root benchmarks both drive this
+// registry; the tables print to stdout and -benchjson records the timing
+// rows in BENCH_results.json.
 package exp
 
 import (

@@ -1,115 +1,63 @@
 package gen
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 
-	"secureview/internal/module"
-	"secureview/internal/relation"
-	"secureview/internal/secureview"
+	"secureview/internal/privacy"
+	"secureview/internal/wire"
 )
 
-// CanonicalBytes serializes the instance deterministically: config, seed,
-// Γ, every module's interface, visibility and full truth table (inputs in
-// mixed-radix order), then all costs in schema order. Two instances are the
-// same scenario iff their canonical bytes are equal, which is what the
-// reproducibility guarantee ("same seed, byte-identical instance") is
-// asserted against.
+// CanonicalBytes serializes the instance deterministically with the
+// internal/wire appenders: config, seed, Γ, the workflow name, every
+// module's name, visibility and module-view encoding (attribute split,
+// domains and full truth table), then all costs in schema order and the
+// public modules' privatization costs. Two instances are the same scenario
+// iff their canonical bytes are equal, which is what the reproducibility
+// guarantee ("same seed, byte-identical instance") is asserted against.
 func (it *Instance) CanonicalBytes() ([]byte, error) {
-	var b bytes.Buffer
 	cfg := it.Cfg
-	fmt.Fprintf(&b, "gen/v1 seed=%d topo=%s modules=%d layers=%dx%d fan=%d/%d dom=%d share=%d pub=%.17g funcs=%s costs=%s maxcost=%.17g gamma=%d\n",
-		it.Seed, cfg.Topology, cfg.Modules, cfg.Layers, cfg.Width, cfg.FanIn, cfg.FanOut,
-		cfg.Domain, cfg.Share, cfg.PublicFrac, cfg.Funcs, cfg.Costs, cfg.MaxCost, it.Gamma)
-	fmt.Fprintf(&b, "workflow %s\n", it.W.Name())
-	for _, m := range it.W.Modules() {
-		fmt.Fprintf(&b, "module %s %s in=", m.Name(), m.Visibility())
-		writeAttrs(&b, m.Inputs())
-		b.WriteString(" out=")
-		writeAttrs(&b, m.Outputs())
-		b.WriteByte('\n')
-		size, ok := m.InputDomainSize()
-		if !ok || size > 1<<12 {
+	buf := wire.AppendU64(make([]byte, 0, 4096), uint64(it.Seed))
+	for _, v := range []int{int(cfg.Topology), cfg.Modules, cfg.Layers, cfg.Width,
+		cfg.FanIn, cfg.FanOut, cfg.Domain, cfg.Share, int(cfg.Funcs), int(cfg.Costs)} {
+		buf = wire.AppendU64(buf, uint64(v))
+	}
+	buf = wire.AppendF64(buf, cfg.PublicFrac)
+	buf = wire.AppendF64(buf, cfg.MaxCost)
+	buf = wire.AppendU64(buf, cfg.Gamma)
+	buf = wire.AppendU64(buf, it.Gamma)
+	buf = wire.AppendString(buf, it.W.Name())
+	mods := it.W.Modules()
+	buf = wire.AppendU64(buf, uint64(len(mods)))
+	for _, m := range mods {
+		if size, ok := m.InputDomainSize(); !ok || size > 1<<12 {
 			return nil, fmt.Errorf("gen: module %s domain too large to serialize", m.Name())
 		}
-		var evalErr error
-		relation.EachTuple(m.InputSchema(), func(x relation.Tuple) bool {
-			y, err := m.Eval(x)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			fmt.Fprintf(&b, " %v->%v\n", []relation.Value(x), []relation.Value(y))
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
+		buf = wire.AppendString(buf, m.Name())
+		buf = wire.AppendU64(buf, uint64(m.Visibility()))
+		buf = privacy.NewModuleView(m).AppendBinary(buf)
 	}
-	for _, a := range it.W.Schema().Names() {
-		fmt.Fprintf(&b, "cost %s=%.17g\n", a, it.Costs[a])
+	names := it.W.Schema().Names()
+	buf = wire.AppendU64(buf, uint64(len(names)))
+	for _, a := range names {
+		buf = wire.AppendString(buf, a)
+		buf = wire.AppendF64(buf, it.Costs[a])
 	}
-	for _, m := range it.W.PublicModules() {
-		fmt.Fprintf(&b, "privatize %s=%.17g\n", m.Name(), it.PrivatizeCosts[m.Name()])
+	pubs := it.W.PublicModules()
+	buf = wire.AppendU64(buf, uint64(len(pubs)))
+	for _, m := range pubs {
+		buf = wire.AppendString(buf, m.Name())
+		buf = wire.AppendF64(buf, it.PrivatizeCosts[m.Name()])
 	}
-	return b.Bytes(), nil
+	return buf, nil
 }
 
-func writeAttrs(b *bytes.Buffer, attrs []relation.Attribute) {
-	for i, a := range attrs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(b, "%s:%d", a.Name, a.Domain)
-	}
-}
-
-// Fingerprint returns the hex SHA-256 of CanonicalBytes.
+// Fingerprint returns the hex wire.Fingerprint of CanonicalBytes.
 func (it *Instance) Fingerprint() (string, error) {
 	raw, err := it.CanonicalBytes()
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// ProblemCanonicalBytes serializes an abstract instance deterministically:
-// modules in order with visibility, interfaces and requirement lists, then
-// costs sorted by attribute name.
-func ProblemCanonicalBytes(p *secureview.Problem) []byte {
-	var b bytes.Buffer
-	b.WriteString("gen-problem/v1\n")
-	for _, m := range p.Modules {
-		vis := module.Private
-		if m.Public {
-			vis = module.Public
-		}
-		fmt.Fprintf(&b, "module %s %s in=%v out=%v priv=%.17g\n",
-			m.Name, vis, m.Inputs, m.Outputs, m.PrivatizeCost)
-		for _, r := range m.SetList {
-			fmt.Fprintf(&b, " set in=%v out=%v\n", r.In, r.Out)
-		}
-		for _, r := range m.CardList {
-			fmt.Fprintf(&b, " card a=%d b=%d\n", r.Alpha, r.Beta)
-		}
-	}
-	names := make([]string, 0, len(p.Costs))
-	for a := range p.Costs {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	for _, a := range names {
-		fmt.Fprintf(&b, "cost %s=%.17g\n", a, p.Costs[a])
-	}
-	return b.Bytes()
-}
-
-// ProblemFingerprint returns the hex SHA-256 of ProblemCanonicalBytes.
-func ProblemFingerprint(p *secureview.Problem) string {
-	sum := sha256.Sum256(ProblemCanonicalBytes(p))
-	return hex.EncodeToString(sum[:])
+	fp := wire.Fingerprint("gen/instance/v2", raw)
+	return hex.EncodeToString(fp[:]), nil
 }

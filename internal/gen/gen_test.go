@@ -54,13 +54,36 @@ func TestSameSeedByteIdentical(t *testing.T) {
 		pc := pc
 		t.Run("problem/"+pc.Name, func(t *testing.T) {
 			for seed := int64(0); seed < 8; seed++ {
-				a := ProblemCanonicalBytes(Problem(pc.Cfg, seed))
-				b := ProblemCanonicalBytes(Problem(pc.Cfg, seed))
+				a := Problem(pc.Cfg, seed).AppendBinary(nil)
+				b := Problem(pc.Cfg, seed).AppendBinary(nil)
 				if !bytes.Equal(a, b) {
 					t.Fatalf("seed %d: regeneration differs", seed)
 				}
 			}
 		})
+	}
+}
+
+// TestDeriveDeterministic: deriving one instance twice yields
+// byte-identical problems. Requirement attribute lists come from ranging
+// over name sets, so derivation must sort them for the encoding (and every
+// fingerprint built on it) to be stable.
+func TestDeriveDeterministic(t *testing.T) {
+	for _, cl := range Classes() {
+		for seed := int64(0); seed < 3; seed++ {
+			it := MustNew(cl.Cfg, seed)
+			a, errA := it.Derive()
+			b, errB := it.Derive()
+			if (errA != nil) != (errB != nil) {
+				t.Fatalf("%s/%d: derivation errors differ: %v vs %v", cl.Name, seed, errA, errB)
+			}
+			if errA != nil {
+				continue
+			}
+			if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+				t.Errorf("%s/%d: two derivations encode differently", cl.Name, seed)
+			}
+		}
 	}
 }
 
@@ -233,9 +256,9 @@ func TestQuickSingletonProblemSolvable(t *testing.T) {
 // these are stable; update them only when the generator changes ON PURPOSE.
 func TestGoldenFingerprints(t *testing.T) {
 	golden := map[Topology]string{
-		Chain:   "d0b3fe51c99125b1d2301f23c367a80ee7c29721c860a38fc16ea8ae9e137763",
-		Tree:    "e1c8ff28e4b3768eacad286b701e59f745e89e95f26a6dfdc618b3901a4314e4",
-		Layered: "c5f84bbbfda292ed2f6b89f6a0b8d48894194fa33ca82b4de134e5773d387976",
+		Chain:   "154086e9a3dc4c4e38fb35adac4965dc7cbf97746e73f70617961f0d9e66cb98",
+		Tree:    "731ff4e0a26a1978eba25c59f1cd2d5b31d028bb4eeca031d687d4c7068989f4",
+		Layered: "6e10b4039759bf7b366f72e28320b2280ee2361cecee9a2fd20a617dd087622f",
 	}
 	for topo, want := range golden {
 		it := MustNew(Config{Topology: topo}, 7)

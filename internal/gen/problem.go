@@ -65,7 +65,7 @@ func (c ProblemConfig) withDefaults() ProblemConfig {
 // with a coin flip — the mixed pair "hide one input and one output".
 // Both the set and the cardinality lists encode the same options, so the
 // two variants of every solver see the same instance. Identical arguments
-// produce byte-identical instances (ProblemCanonicalBytes).
+// produce byte-identical instances (Problem.AppendBinary).
 func Problem(cfg ProblemConfig, seed int64) *secureview.Problem {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"secureview/internal/relation"
@@ -113,17 +114,25 @@ func TestSearchResultCounters(t *testing.T) {
 	}
 
 	// Checked must equal actual oracle invocations: route the same search
-	// through a counted oracle.
-	counting := &CountingOracle{Inner: OracleFor(mv, 4)}
-	res2, err := EngineMinCostWithOracle(mv.Attrs(), costs, counting, search.Options{Parallelism: 2})
+	// through a counted mask oracle.
+	sp, err := mv.searchSpace(costs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Checked != counting.Calls() {
-		t.Errorf("Checked = %d, oracle calls = %d", res2.Checked, counting.Calls())
+	inner := mv.maskOracle(sp, 4)
+	var calls atomic.Int64
+	res2, err := sp.MinCost(func(visible search.Mask) (bool, error) {
+		calls.Add(1)
+		return inner(visible)
+	}, search.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Stats.Checked != int(calls.Load()) {
+		t.Errorf("Checked = %d, oracle calls = %d", res2.Stats.Checked, calls.Load())
 	}
 	if res2.Cost != res.Cost || res2.Found != res.Found {
-		t.Errorf("oracle-backed engine disagrees: %+v vs %+v", res2, res)
+		t.Errorf("counted engine disagrees: %+v vs %+v", res2, res)
 	}
 }
 
@@ -143,43 +152,17 @@ func TestUnsatisfiableCounters(t *testing.T) {
 	}
 }
 
-func TestMemoOracle(t *testing.T) {
-	mv := fig1View()
-	counting := &CountingOracle{Inner: OracleFor(mv, 4)}
-	memo := NewMemoOracle(counting)
-	v := relation.NewNameSet("a1", "a3", "a5")
-	for i := 0; i < 3; i++ {
-		if _, err := memo.IsSafe(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counting.Calls() != 1 {
-		t.Errorf("inner oracle called %d times, want 1", counting.Calls())
-	}
-	if memo.Len() != 1 {
-		t.Errorf("memo holds %d entries, want 1", memo.Len())
-	}
-	// A different set misses.
-	if _, err := memo.IsSafe(relation.NewNameSet("a1")); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Calls() != 2 {
-		t.Errorf("inner oracle called %d times, want 2", counting.Calls())
-	}
-}
-
 // The engine and the assumption-free oracle scan must agree on monotone
 // (real-module) oracles.
 func TestEngineAgreesWithOracleScan(t *testing.T) {
 	mv := fig1View()
 	costs := Uniform(mv.Attrs()...)
-	engineRes, err := EngineMinCostWithOracle(mv.Attrs(), costs,
-		&CountingOracle{Inner: OracleFor(mv, 4)}, search.Options{})
+	engineRes, err := mv.MinCostSafeSubset(costs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hidden, cost, _, err := MinCostSafeSubsetWithOracle(mv.Attrs(), costs,
-		&CountingOracle{Inner: OracleFor(mv, 4)}, 1e9)
+		&CountingOracle{Inner: viewOracle(mv, 4)}, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package privacy
 
 import (
-	"strings"
-	"sync"
 	"sync/atomic"
 
-	"secureview/internal/oracle"
 	"secureview/internal/relation"
 )
 
@@ -24,86 +21,3 @@ func (c *CountingOracle) IsSafe(visible relation.NameSet) (bool, error) {
 
 // Calls returns the number of oracle queries made so far.
 func (c *CountingOracle) Calls() int { return int(c.calls.Load()) }
-
-// MemoOracle wraps a SafeViewOracle with a concurrency-safe memo keyed by
-// the visible set, answering repeated queries without consulting the inner
-// oracle again. It is the name-set-level counterpart of search.Memoize:
-// layer it over a CountingOracle to see how many DISTINCT subsets a search
-// really tested, or over an expensive oracle (world enumeration, partial-log
-// analysis) shared by several searches. Errors are not memoized.
-//
-// When the inner oracle is compiled-backed (OracleFor on a compilable
-// view), the memo is keyed by the compiled visibility mask — a uint32
-// instead of a sorted, concatenated name string — so lookups allocate
-// nothing.
-type MemoOracle struct {
-	inner SafeViewOracle
-	comp  *oracle.Compiled // non-nil: mask-keyed fast path
-	mu    sync.RWMutex
-	memo  map[string]bool
-	masks map[oracle.Mask]bool
-}
-
-// NewMemoOracle returns a memoizing wrapper around inner.
-func NewMemoOracle(inner SafeViewOracle) *MemoOracle {
-	o := &MemoOracle{inner: inner}
-	if c, ok := inner.(compiledOracle); ok {
-		o.comp = c.c
-		o.masks = make(map[oracle.Mask]bool)
-	} else {
-		o.memo = make(map[string]bool)
-	}
-	return o
-}
-
-func memoKey(visible relation.NameSet) string {
-	return strings.Join(visible.Sorted(), "\x00")
-}
-
-// IsSafe answers from the memo when possible, else consults the inner
-// oracle. Concurrent misses on the same key may both consult the inner
-// oracle; both store the same answer, so the memo stays consistent.
-func (o *MemoOracle) IsSafe(visible relation.NameSet) (bool, error) {
-	if o.comp != nil {
-		key := o.comp.MaskOf(visible)
-		o.mu.RLock()
-		safe, ok := o.masks[key]
-		o.mu.RUnlock()
-		if ok {
-			return safe, nil
-		}
-		safe, err := o.inner.IsSafe(visible)
-		if err != nil {
-			return false, err
-		}
-		o.mu.Lock()
-		o.masks[key] = safe
-		o.mu.Unlock()
-		return safe, nil
-	}
-	key := memoKey(visible)
-	o.mu.RLock()
-	safe, ok := o.memo[key]
-	o.mu.RUnlock()
-	if ok {
-		return safe, nil
-	}
-	safe, err := o.inner.IsSafe(visible)
-	if err != nil {
-		return false, err
-	}
-	o.mu.Lock()
-	o.memo[key] = safe
-	o.mu.Unlock()
-	return safe, nil
-}
-
-// Len returns the number of memoized answers.
-func (o *MemoOracle) Len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if o.comp != nil {
-		return len(o.masks)
-	}
-	return len(o.memo)
-}

@@ -24,6 +24,7 @@ import (
 	"secureview/internal/module"
 	"secureview/internal/oracle"
 	"secureview/internal/relation"
+	"secureview/internal/wire"
 )
 
 // ModuleView bundles what the standalone definitions need: the module's
@@ -39,6 +40,31 @@ type ModuleView struct {
 // the ModuleView literal with RelationOver.
 func NewModuleView(m *module.Module) ModuleView {
 	return ModuleView{Rel: m.Relation(), Inputs: m.InputNames(), Outputs: m.OutputNames()}
+}
+
+// AppendBinary appends the view's identity: the input and output name
+// lists, every schema attribute's name and domain, then the rows in sorted
+// order. Names are part of it (safe subsets are name sets), so renamed
+// copies of one function encode differently; row order is not, so two
+// materializations of one function encode equally.
+func (mv ModuleView) AppendBinary(buf []byte) []byte {
+	buf = wire.AppendStrings(buf, mv.Inputs)
+	buf = wire.AppendStrings(buf, mv.Outputs)
+	sc := mv.Rel.Schema()
+	buf = wire.AppendU64(buf, uint64(sc.Len()))
+	for i := 0; i < sc.Len(); i++ {
+		a := sc.Attr(i)
+		buf = wire.AppendString(buf, a.Name)
+		buf = wire.AppendU64(buf, uint64(a.Domain))
+	}
+	rows := mv.Rel.SortedRows()
+	buf = wire.AppendU64(buf, uint64(len(rows)))
+	for _, row := range rows {
+		for _, v := range row {
+			buf = wire.AppendU64(buf, uint64(v))
+		}
+	}
+	return buf
 }
 
 // Compile lowers the module view into the integer-coded oracle of

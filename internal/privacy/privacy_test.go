@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -371,10 +372,17 @@ func TestAllSafeVisibleSubsets(t *testing.T) {
 	}
 }
 
+// viewOracle is the Lemma 4 safety test of mv at Γ as a SafeViewOracle.
+func viewOracle(mv ModuleView, gamma uint64) SafeViewOracle {
+	return OracleFunc(func(visible relation.NameSet) (bool, error) {
+		return mv.IsSafe(visible, gamma)
+	})
+}
+
 func TestOracleSearchMatchesBruteForce(t *testing.T) {
 	mv := fig1View()
 	costs := Uniform(mv.Attrs()...)
-	oracle := &CountingOracle{Inner: OracleFor(mv, 4)}
+	oracle := &CountingOracle{Inner: viewOracle(mv, 4)}
 	hidden, cost, calls, err := MinCostSafeSubsetWithOracle(mv.Attrs(), costs, oracle, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -390,9 +398,40 @@ func TestOracleSearchMatchesBruteForce(t *testing.T) {
 	}
 	// Budget below the optimum: nothing found, and the search exhausts the
 	// candidate space within budget.
-	oracle2 := &CountingOracle{Inner: OracleFor(mv, 4)}
+	oracle2 := &CountingOracle{Inner: viewOracle(mv, 4)}
 	h2, _, _, err := MinCostSafeSubsetWithOracle(mv.Attrs(), costs, oracle2, 1)
 	if err != nil || h2 != nil {
 		t.Errorf("budget-1 search returned %v err=%v, want nil", h2, err)
+	}
+}
+
+// TestModuleViewEncodingDistinguishesFunctionality: the module-view
+// encoding behind every Session and instance key separates different
+// functions over the same attributes, and encodes two materializations of
+// one function identically.
+func TestModuleViewEncodingDistinguishesFunctionality(t *testing.T) {
+	and := NewModuleView(module.And("g", []string{"x", "y"}, "z")).AppendBinary(nil)
+	or := NewModuleView(module.Or("g", []string{"x", "y"}, "z")).AppendBinary(nil)
+	if bytes.Equal(and, or) {
+		t.Fatal("AND and OR over the same attributes encode alike")
+	}
+	again := NewModuleView(module.And("g", []string{"x", "y"}, "z")).AppendBinary(nil)
+	if !bytes.Equal(and, again) {
+		t.Fatal("two views of one function encode differently")
+	}
+}
+
+// TestModuleViewEncodingDistinguishesAttributeNames: safe subsets are name
+// sets, so renamed attributes must encode differently, and so must the
+// same attributes under a different input/output split.
+func TestModuleViewEncodingDistinguishesAttributeNames(t *testing.T) {
+	a := NewModuleView(module.And("g", []string{"x", "y"}, "z"))
+	b := NewModuleView(module.And("g", []string{"p", "q"}, "r"))
+	if bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+		t.Fatal("renamed attributes encode alike")
+	}
+	split := ModuleView{Rel: a.Rel, Inputs: []string{"x"}, Outputs: []string{"y", "z"}}
+	if bytes.Equal(a.AppendBinary(nil), split.AppendBinary(nil)) {
+		t.Fatal("a different input/output split encodes alike")
 	}
 }

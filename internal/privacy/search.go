@@ -272,101 +272,6 @@ type SafeViewOracle interface {
 	IsSafe(visible relation.NameSet) (bool, error)
 }
 
-// relationOracle implements SafeViewOracle on a concrete module view.
-type relationOracle struct {
-	mv    ModuleView
-	gamma uint64
-}
-
-// OracleFor returns a Safe-View oracle backed by the module view. The view
-// is compiled to the integer-coded oracle when possible (one compilation,
-// answering every later query with integer lookups); views whose domain
-// products overflow uint64 get the interpreted oracle instead. Both are safe
-// for concurrent use under the parallel engine.
-func OracleFor(mv ModuleView, gamma uint64) SafeViewOracle {
-	if c, err := mv.Compile(); err == nil {
-		return compiledOracle{c: c, gamma: gamma}
-	}
-	return relationOracle{mv: mv, gamma: gamma}
-}
-
-func (o relationOracle) IsSafe(visible relation.NameSet) (bool, error) {
-	return o.mv.IsSafe(visible, o.gamma)
-}
-
-// compiledOracle answers Safe-View queries from a compiled module view.
-type compiledOracle struct {
-	c     *oracle.Compiled
-	gamma uint64
-}
-
-func (o compiledOracle) IsSafe(visible relation.NameSet) (bool, error) {
-	return o.c.IsSafe(o.c.MaskOf(visible), o.gamma), nil
-}
-
-// BatchSafeViewOracle is a SafeViewOracle that can answer many visible sets
-// in one pass. The engine detects it and amortizes per-row decode work
-// across sibling candidates.
-type BatchSafeViewOracle interface {
-	SafeViewOracle
-	// IsSafeBatch answers safety for each visible set, in order.
-	IsSafeBatch(visible []relation.NameSet) ([]bool, error)
-}
-
-func (o compiledOracle) IsSafeBatch(visible []relation.NameSet) ([]bool, error) {
-	ms := make([]oracle.Mask, len(visible))
-	for i, v := range visible {
-		ms[i] = o.c.MaskOf(v)
-	}
-	return o.c.IsSafeBatch(ms, o.gamma), nil
-}
-
-// EngineMinCostWithOracle runs the pruned parallel engine against an
-// arbitrary Safe-View oracle. The oracle MUST be monotone (Proposition 1)
-// and safe for concurrent use — MemoOracle and CountingOracle add their own
-// bookkeeping safely but still delegate concurrently, so they do NOT make a
-// non-thread-safe inner oracle safe. For adversarial, non-monotone oracles
-// use MinCostSafeSubsetWithOracle, which assumes nothing. The engine asks
-// about each visible set at most once per call, so to amortize answers
-// ACROSS calls, pass the same MemoOracle to each.
-func EngineMinCostWithOracle(attrs []string, costs Costs, oracle SafeViewOracle, opts search.Options) (SearchResult, error) {
-	if len(attrs) > search.MaxAttrs {
-		return SearchResult{}, fmt.Errorf("privacy: %d attributes too many", len(attrs))
-	}
-	sp, err := search.NewSpace(attrs, costs.Of)
-	if err != nil {
-		return SearchResult{}, fmt.Errorf("privacy: %w", err)
-	}
-	if bo, ok := oracle.(BatchSafeViewOracle); ok && opts.Batch == nil {
-		opts.Batch = func(visible []search.Mask) ([]bool, error) {
-			sets := make([]relation.NameSet, len(visible))
-			for i, v := range visible {
-				sets[i] = sp.NameSet(v)
-			}
-			return bo.IsSafeBatch(sets)
-		}
-	}
-	res, err := sp.MinCost(func(visible search.Mask) (bool, error) {
-		return oracle.IsSafe(sp.NameSet(visible))
-	}, opts)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	out := SearchResult{
-		Found:        res.Found,
-		Checked:      res.Stats.Checked,
-		Pruned:       res.Stats.Pruned,
-		OraclePasses: res.Stats.OraclePasses,
-		BatchSize:    res.Stats.BatchSize,
-	}
-	if res.Found {
-		out.Hidden = sp.NameSet(res.Hidden)
-		out.Visible = sp.NameSet(sp.All() &^ res.Hidden)
-		out.Cost = res.Cost
-	}
-	return out, nil
-}
-
 // MinCostSafeSubsetWithOracle solves the standalone Secure-View decision
 // problem using only oracle calls: it asks the oracle about every subset in
 // increasing cost order until it finds a safe one of cost <= budget. It

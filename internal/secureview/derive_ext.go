@@ -2,12 +2,11 @@ package secureview
 
 import (
 	"fmt"
-	"sync"
+	"sort"
 
 	"secureview/internal/module"
 	"secureview/internal/privacy"
 	"secureview/internal/relation"
-	"secureview/internal/search"
 	"secureview/internal/workflow"
 )
 
@@ -31,20 +30,6 @@ type DeriveOptions struct {
 	// recorded executions is the faithful reading for partial logs; note a
 	// view derived from a partial log is only guaranteed for that log.
 	Recorded *relation.Relation
-	// Parallel analyses modules concurrently (the standalone analyses are
-	// independent; the paper's section 3.2 remark observes they are also
-	// amortizable across workflows).
-	Parallel bool
-	// Cache, when non-nil, memoizes per-module standalone analyses across
-	// Derive calls and workflows (the BLAST/FASTA amortization of section
-	// 3.2). Ignored when Recorded is set, since partial-log analyses are
-	// log-specific.
-	Cache *privacy.Cache
-	// Search tunes the per-module subset-search engine (worker-pool size for
-	// the 2^k mask sweep); the zero value uses GOMAXPROCS workers. It
-	// composes with Parallel: Parallel fans out across modules, Search fans
-	// out across each module's candidate subsets.
-	Search search.Options
 }
 
 func (o DeriveOptions) gammaFor(name string) uint64 {
@@ -68,8 +53,11 @@ func (o DeriveOptions) moduleView(w *workflow.Workflow, m *module.Module) (priva
 }
 
 // Derive builds a Secure-View instance (set-constraints variant) under the
-// options. It generalizes DeriveSet with per-module Γ, partial-log
-// derivation and optional parallelism.
+// options. It generalizes DeriveSet with per-module Γ and partial-log
+// derivation. The result is deterministic: modules keep workflow order,
+// requirement lists keep the engine's enumeration order, and each
+// requirement's In and Out lists are sorted, so two derivations of one
+// workflow encode to identical bytes.
 func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 	if opts.Gamma == 0 && len(opts.GammaPerModule) == 0 {
 		return nil, fmt.Errorf("secureview: Derive needs a privacy requirement")
@@ -77,10 +65,7 @@ func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 	p := &Problem{Costs: opts.Costs}
 	mods := w.Modules()
 	specs := make([]ModuleSpec, len(mods))
-	errs := make([]error, len(mods))
-
-	analyze := func(i int) {
-		m := mods[i]
+	for i, m := range mods {
 		spec := ModuleSpec{
 			Name:    m.Name(),
 			Inputs:  m.InputNames(),
@@ -90,31 +75,22 @@ func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 			spec.Public = true
 			spec.PrivatizeCost = opts.PrivatizeCosts[m.Name()]
 			specs[i] = spec
-			return
+			continue
 		}
 		gamma := opts.gammaFor(m.Name())
 		if gamma == 0 {
-			errs[i] = fmt.Errorf("secureview: module %s has no privacy requirement", m.Name())
-			return
+			return nil, fmt.Errorf("secureview: module %s has no privacy requirement", m.Name())
 		}
 		mv, err := opts.moduleView(w, m)
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
-		var minimal []relation.NameSet
-		if opts.Cache != nil && opts.Recorded == nil {
-			minimal, err = opts.Cache.MinimalSafeHiddenSetsOpts(mv, gamma, opts.Search)
-		} else {
-			minimal, err = mv.MinimalSafeHiddenSetsOpts(gamma, opts.Search)
-		}
+		minimal, err := mv.MinimalSafeHiddenSets(gamma)
 		if err != nil {
-			errs[i] = fmt.Errorf("secureview: module %s: %w", m.Name(), err)
-			return
+			return nil, fmt.Errorf("secureview: module %s: %w", m.Name(), err)
 		}
 		if len(minimal) == 0 {
-			errs[i] = fmt.Errorf("secureview: module %s has no safe subset for Γ=%d: %w", m.Name(), gamma, ErrInfeasible)
-			return
+			return nil, fmt.Errorf("secureview: module %s has no safe subset for Γ=%d: %w", m.Name(), gamma, ErrInfeasible)
 		}
 		in := relation.NewNameSet(spec.Inputs...)
 		for _, h := range minimal {
@@ -126,30 +102,11 @@ func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 					req.Out = append(req.Out, a)
 				}
 			}
+			sort.Strings(req.In)
+			sort.Strings(req.Out)
 			spec.SetList = append(spec.SetList, req)
 		}
 		specs[i] = spec
-	}
-
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		for i := range mods {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				analyze(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range mods {
-			analyze(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	p.Modules = specs
 	return p, nil

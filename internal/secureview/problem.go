@@ -323,14 +323,19 @@ func (p *Problem) Feasible(s Solution, variant Variant) bool {
 			}
 			continue
 		}
-		if !p.moduleSatisfied(m, s.Hidden, variant) {
+		if !m.Satisfied(s.Hidden, variant) {
 			return false
 		}
 	}
 	return true
 }
 
-func (p *Problem) moduleSatisfied(m ModuleSpec, hidden relation.NameSet, variant Variant) bool {
+// Satisfied reports whether hiding exactly hidden satisfies one of the
+// module's options in the variant: some cardinality pair (α, β) with at
+// least α of its inputs and β of its outputs hidden, or some set
+// requirement wholly inside hidden. It is the one per-module feasibility
+// predicate; Feasible adds the privatization rule for public modules.
+func (m ModuleSpec) Satisfied(hidden relation.NameSet, variant Variant) bool {
 	switch variant {
 	case Cardinality:
 		hi, ho := 0, 0

@@ -2,18 +2,13 @@ package solve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"hash"
-	"io"
-	"math"
-	"sort"
 	"sync"
 
 	"secureview/internal/oracle"
 	"secureview/internal/privacy"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
+	"secureview/internal/wire"
 	"secureview/internal/workflow"
 )
 
@@ -35,11 +30,8 @@ import (
 // pointers already handed out — cached values are immutable — it only
 // forces the next request for that fingerprint to re-derive.
 //
-// This is the request-level counterpart of privacy.Cache (which amortizes
-// per-module analyses across workflows, the paper's section 3.2 BLAST/FASTA
-// remark): one Session fronting a batch of jobs derives each distinct
-// workflow once per variant, however many (instance, solver) pairs the
-// batch fans out.
+// One Session fronting a batch of jobs derives each distinct workflow once
+// per variant, however many (instance, solver) pairs the batch fans out.
 type Session struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -313,104 +305,36 @@ func (s *Session) evictLocked(e *sessionEntry) {
 	s.evictions++
 }
 
-// hashStr writes a tagged, length-prefixed string into h. The length prefix
-// makes the encoding injective: names containing the bytes another field
-// uses (';', ':', '=', tag letters) cannot shift field boundaries, so two
-// distinct workflows can never serialize to one byte stream.
-func hashStr(h hash.Hash, tag byte, s string) {
-	var buf [9]byte
-	buf[0] = tag
-	binary.LittleEndian.PutUint64(buf[1:], uint64(len(s)))
-	h.Write(buf[:])
-	io.WriteString(h, s)
-}
-
-// hashU64 writes a fixed-width integer into h.
-func hashU64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
-}
-
-// hashModuleView writes a module view's identity — attribute split, schema
-// domains and full row set — into h. Names matter (solutions are name
-// sets), so renamed copies of one function hash differently. Every string
-// is length-prefixed and every section is count-prefixed; no delimiter
-// byte is load-bearing.
-func hashModuleView(h hash.Hash, mv privacy.ModuleView) {
-	hashU64(h, uint64(len(mv.Inputs)))
-	for _, n := range mv.Inputs {
-		hashStr(h, 'i', n)
-	}
-	hashU64(h, uint64(len(mv.Outputs)))
-	for _, n := range mv.Outputs {
-		hashStr(h, 'o', n)
-	}
-	sc := mv.Rel.Schema()
-	hashU64(h, uint64(sc.Len()))
-	for i := 0; i < sc.Len(); i++ {
-		a := sc.Attr(i)
-		hashStr(h, 'd', a.Name)
-		hashU64(h, uint64(a.Domain))
-	}
-	rows := mv.Rel.SortedRows()
-	hashU64(h, uint64(len(rows)))
-	for _, row := range rows {
-		for _, v := range row {
-			hashU64(h, uint64(v))
-		}
-	}
-}
-
-// hashCosts writes a name→float64 map in sorted name order, count-prefixed.
-func hashCosts(h hash.Hash, tag byte, costs map[string]float64) {
-	names := make([]string, 0, len(costs))
-	for a := range costs {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	hashU64(h, uint64(len(names)))
-	for _, a := range names {
-		hashStr(h, tag, a)
-		hashU64(h, math.Float64bits(costs[a]))
-	}
-}
-
-// workflowKeys fingerprints a derivation request: every module's identity
-// plus visibility, the privacy requirement, the variant and both cost
-// assignments. The workflow's own name is deliberately NOT hashed — it
-// never affects the derived problem (solutions are attribute/module name
-// sets), so renamed handles to the same workflow share one entry.
+// workflowKeys fingerprints a derivation request: every module's name,
+// visibility and module-view encoding, the privacy requirement, the
+// variant and both cost assignments. The workflow's own name is
+// deliberately NOT part of it — it never affects the derived problem
+// (solutions are attribute/module name sets), so renamed handles to the
+// same workflow share one entry.
 //
-// Two keys come back from one hashing pass: full covers everything,
-// structural stops before the cost maps. Costs enter a derived problem only
-// as Problem.Costs and ModuleSpec.PrivatizeCost — the expensive per-module
-// requirement analyses never read them — so two requests sharing a
-// structural key differ only by re-costing (the DeltaDerive fast path).
+// Two keys come back from one buffer: structural covers everything but the
+// cost maps, and full chains structural with the cost maps. Costs enter a
+// derived problem only as Problem.Costs and ModuleSpec.PrivatizeCost — the
+// expensive per-module requirement analyses never read them — so two
+// requests sharing a structural key differ only by re-costing (the
+// DeltaDerive fast path).
 func workflowKeys(w *workflow.Workflow, v secureview.Variant, gamma uint64,
 	costs privacy.Costs, privatizeCosts map[string]float64) (full, structural string) {
-	h := sha256.New()
-	hashStr(h, 'V', "solve/v2")
-	hashU64(h, uint64(v))
-	hashU64(h, gamma)
+	buf := wire.AppendU64(make([]byte, 0, 4096), uint64(v))
+	buf = wire.AppendU64(buf, gamma)
 	mods := w.Modules()
-	hashU64(h, uint64(len(mods)))
+	buf = wire.AppendU64(buf, uint64(len(mods)))
 	for _, m := range mods {
-		hashStr(h, 'm', m.Name())
-		hashU64(h, uint64(m.Visibility()))
-		hashModuleView(h, privacy.NewModuleView(m))
+		buf = wire.AppendString(buf, m.Name())
+		buf = wire.AppendU64(buf, uint64(m.Visibility()))
+		buf = privacy.NewModuleView(m).AppendBinary(buf)
 	}
-	structural = string(h.Sum(nil))
-	hashCosts(h, 'c', costs)
-	hashCosts(h, 'p', privatizeCosts)
-	return string(h.Sum(nil)), structural
-}
-
-// workflowKey is the full (cost-inclusive) cache key alone.
-func workflowKey(w *workflow.Workflow, v secureview.Variant, gamma uint64,
-	costs privacy.Costs, privatizeCosts map[string]float64) string {
-	full, _ := workflowKeys(w, v, gamma, costs, privatizeCosts)
-	return full
+	s := wire.Fingerprint("solve/structure/v3", buf)
+	buf = append(buf[:0], s[:]...)
+	buf = wire.AppendFloatMap(buf, costs)
+	buf = wire.AppendFloatMap(buf, privatizeCosts)
+	f := wire.Fingerprint("solve/problem/v3", buf)
+	return string(f[:]), string(s[:])
 }
 
 // deltaSource returns the cached problem to re-cost for the given structure
@@ -511,10 +435,8 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 // view, compiling on first use and sharing the immutable result across all
 // later requests for the same functionality.
 func (s *Session) Compiled(mv privacy.ModuleView) (*oracle.Compiled, error) {
-	h := sha256.New()
-	hashStr(h, 'V', "solve/oracle/v2")
-	hashModuleView(h, mv)
-	e := s.lookup(string(h.Sum(nil)), kindOracle)
+	key := wire.Fingerprint("solve/oracle/v3", mv.AppendBinary(nil))
+	e := s.lookup(string(key[:]), kindOracle)
 	e.mu.Lock()
 	if e.done {
 		c, err := e.c, e.err

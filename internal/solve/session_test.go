@@ -1,6 +1,7 @@
 package solve_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -77,7 +78,7 @@ func TestSessionEvictionStaysUnderBudget(t *testing.T) {
 		t.Fatalf("evicted re-request: hits %d→%d misses %d→%d, want one more miss",
 			st.Hits, st2.Hits, st.Misses, st2.Misses)
 	}
-	if gen.ProblemFingerprint(p) != gen.ProblemFingerprint(direct) {
+	if !bytes.Equal(p.AppendBinary(nil), direct.AppendBinary(nil)) {
 		t.Fatal("re-derived problem differs from the direct derivation")
 	}
 }

@@ -1,15 +1,11 @@
 package solve
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 
 	"secureview/internal/oracle"
-	"secureview/internal/privacy"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
 	"secureview/internal/wire"
@@ -31,11 +27,12 @@ import (
 // a smaller byte budget simply evicts from the least-recent end.
 
 // SnapshotVersion is the wire version of the session snapshot format. It
-// must be bumped on ANY change to the entry encodings below or to the
-// codecs in internal/oracle and internal/search; restore refuses other
-// versions outright — snapshots are rebuildable caches, so cross-version
-// migration is deliberately not attempted.
-const SnapshotVersion = 1
+// must be bumped on ANY change to the entry encodings below, to the codecs
+// in internal/oracle, internal/search and internal/secureview, or to the
+// fingerprints that form the entry keys; restore refuses other versions
+// outright — snapshots are rebuildable caches, so cross-version migration
+// is deliberately not attempted.
+const SnapshotVersion = 2
 
 // StructuralFingerprint returns the hex cost-independent structure key of a
 // derivation request. Cost-only edits of a workflow share it, which is what
@@ -73,7 +70,7 @@ func (s *Session) Snapshot(w io.Writer) error {
 			enc = wire.AppendU32(enc, uint32(kindProblem))
 			enc = wire.AppendString(enc, e.key)
 			enc = wire.AppendString(enc, e.structKey)
-			enc = appendProblem(enc, e.p)
+			enc = e.p.AppendBinary(enc)
 		case kindOracle:
 			if e.c == nil {
 				continue
@@ -135,35 +132,46 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 		return 0, err
 	}
 	entries := make([]restoredEntry, 0, n)
+	type slot struct {
+		kind entryKind
+		key  string
+	}
+	seen := make(map[slot]bool)
 	for i := 0; i < n; i++ {
 		re := restoredEntry{kind: entryKind(r.U32()), key: r.String()}
 		if err := r.Err(); err != nil {
 			return 0, err
 		}
+		// Snapshot writes each cache slot once, so a repeated one means
+		// the payload is corrupt.
+		if seen[slot{re.kind, re.key}] {
+			return 0, fmt.Errorf("solve: snapshot entry %d repeats a key", i)
+		}
+		seen[slot{re.kind, re.key}] = true
 		switch re.kind {
 		case kindProblem:
-			if len(re.key) != sha256.Size {
+			if len(re.key) != wire.FingerprintSize {
 				return 0, fmt.Errorf("solve: snapshot problem key of %d bytes", len(re.key))
 			}
 			re.structKey = r.String()
 			if err := r.Err(); err != nil {
 				return 0, err
 			}
-			if len(re.structKey) != 0 && len(re.structKey) != sha256.Size {
+			if len(re.structKey) != 0 && len(re.structKey) != wire.FingerprintSize {
 				return 0, fmt.Errorf("solve: snapshot structure key of %d bytes", len(re.structKey))
 			}
-			if re.p, err = decodeProblem(r); err != nil {
+			if re.p, err = secureview.DecodeProblem(r); err != nil {
 				return 0, err
 			}
 		case kindOracle:
-			if len(re.key) != sha256.Size {
+			if len(re.key) != wire.FingerprintSize {
 				return 0, fmt.Errorf("solve: snapshot oracle key of %d bytes", len(re.key))
 			}
 			if re.c, err = oracle.DecodeCompiled(r); err != nil {
 				return 0, err
 			}
 		case kindWarm:
-			if len(re.key) != 2*sha256.Size {
+			if len(re.key) != 2*wire.FingerprintSize {
 				return 0, fmt.Errorf("solve: snapshot warm key of %d bytes", len(re.key))
 			}
 			if re.f, err = search.DecodeFrontier(r); err != nil {
@@ -223,125 +231,4 @@ func RestoreSession(rd io.Reader, maxBytes int64) (*Session, int, error) {
 	s := NewSessionBytes(maxBytes)
 	n, err := s.Restore(rd)
 	return s, n, err
-}
-
-// appendStrings appends a count-prefixed string list.
-func appendStrings(buf []byte, list []string) []byte {
-	buf = wire.AppendU64(buf, uint64(len(list)))
-	for _, s := range list {
-		buf = wire.AppendString(buf, s)
-	}
-	return buf
-}
-
-// decodeStrings reads a count-prefixed string list.
-func decodeStrings(r *wire.Reader) []string {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.String()
-	}
-	return out
-}
-
-// appendProblem appends a derived problem: module specs in order, then the
-// cost map in sorted name order so the encoding is deterministic.
-func appendProblem(buf []byte, p *secureview.Problem) []byte {
-	buf = wire.AppendU64(buf, uint64(len(p.Modules)))
-	for i := range p.Modules {
-		m := &p.Modules[i]
-		buf = wire.AppendString(buf, m.Name)
-		buf = appendStrings(buf, m.Inputs)
-		buf = appendStrings(buf, m.Outputs)
-		buf = wire.AppendBool(buf, m.Public)
-		buf = wire.AppendF64(buf, m.PrivatizeCost)
-		buf = wire.AppendU64(buf, uint64(len(m.CardList)))
-		for _, cr := range m.CardList {
-			buf = wire.AppendU64(buf, uint64(cr.Alpha))
-			buf = wire.AppendU64(buf, uint64(cr.Beta))
-		}
-		buf = wire.AppendU64(buf, uint64(len(m.SetList)))
-		for _, sr := range m.SetList {
-			buf = appendStrings(buf, sr.In)
-			buf = appendStrings(buf, sr.Out)
-		}
-	}
-	names := make([]string, 0, len(p.Costs))
-	for a := range p.Costs {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	buf = wire.AppendU64(buf, uint64(len(names)))
-	for _, a := range names {
-		buf = wire.AppendString(buf, a)
-		buf = wire.AppendF64(buf, p.Costs[a])
-	}
-	return buf
-}
-
-// decodeProblem reads one derived problem, re-validating the bounds the
-// solvers rely on (cardinality requirements within int32, finite counts).
-func decodeProblem(r *wire.Reader) (*secureview.Problem, error) {
-	nMods := r.Count(1)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	p := &secureview.Problem{Modules: make([]secureview.ModuleSpec, nMods)}
-	for i := range p.Modules {
-		m := &p.Modules[i]
-		m.Name = r.String()
-		if m.Name == "" && r.Err() == nil {
-			return nil, fmt.Errorf("solve: snapshot module %d has empty name", i)
-		}
-		m.Inputs = decodeStrings(r)
-		m.Outputs = decodeStrings(r)
-		m.Public = r.Bool()
-		m.PrivatizeCost = r.F64()
-		nCard := r.Count(16)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if nCard > 0 {
-			m.CardList = make([]secureview.CardReq, nCard)
-			for j := range m.CardList {
-				alpha, beta := r.U64(), r.U64()
-				if alpha > math.MaxInt32 || beta > math.MaxInt32 {
-					if r.Err() == nil {
-						return nil, fmt.Errorf("solve: snapshot requirement (%d,%d) out of range", alpha, beta)
-					}
-					return nil, r.Err()
-				}
-				m.CardList[j] = secureview.CardReq{Alpha: int(alpha), Beta: int(beta)}
-			}
-		}
-		nSet := r.Count(16)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if nSet > 0 {
-			m.SetList = make([]secureview.SetReq, nSet)
-			for j := range m.SetList {
-				m.SetList[j] = secureview.SetReq{In: decodeStrings(r), Out: decodeStrings(r)}
-			}
-		}
-	}
-	nCosts := r.Count(16)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nCosts > 0 {
-		p.Costs = make(privacy.Costs, nCosts)
-		for i := 0; i < nCosts; i++ {
-			a := r.String()
-			c := r.F64()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			p.Costs[a] = c
-		}
-	}
-	return p, r.Err()
 }

@@ -10,6 +10,7 @@ import (
 	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
+	"secureview/internal/wire"
 )
 
 // populatedSession derives, compiles and warm-solves every generator class
@@ -248,4 +249,37 @@ func TestRestoreKeepsLiveEntries(t *testing.T) {
 		t.Fatal("restore replaced a live entry")
 	}
 	_ = p1
+}
+
+// FuzzRestoreSession feeds mutated snapshot payloads, re-sealed so they
+// pass the envelope checksum, to RestoreSession. Restore must never panic
+// and is all-or-nothing: either it fails and the session is empty, or it
+// installs every entry the payload declares. The committed seed corpus
+// (testdata/fuzz/FuzzRestoreSession) is the payload of a real snapshot
+// holding problem, compiled-oracle and warm entries. Run actively with:
+//
+//	go test -run '^$' -fuzz '^FuzzRestoreSession$' -fuzztime 30s ./internal/solve
+func FuzzRestoreSession(f *testing.F) {
+	f.Add(wire.AppendU64(nil, 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sess, n, err := solve.RestoreSession(bytes.NewReader(wire.Seal(solve.SnapshotVersion, payload)), 0)
+		st := sess.Stats()
+		if err != nil {
+			if n != 0 || st.Entries != 0 || st.Bytes != 0 {
+				t.Fatalf("failed restore installed %d entries (stats %+v): %v", n, st, err)
+			}
+			return
+		}
+		declared := wire.NewReader(payload).U64()
+		if uint64(n) != declared || st.Entries != n {
+			t.Fatalf("restore installed %d of %d declared entries (stats report %d)", n, declared, st.Entries)
+		}
+		var buf bytes.Buffer
+		if err := sess.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, again, err := solve.RestoreSession(&buf, 0); err != nil || again != n {
+			t.Fatalf("re-snapshot restored %d of %d entries: %v", again, n, err)
+		}
+	})
 }

@@ -1,16 +1,17 @@
 // Package wire holds the binary codec primitives behind the session
-// snapshot format: little-endian fixed-width appenders, an error-latching
-// Reader whose length reads can never allocate past the buffer they decode
-// from, and a checksummed envelope (Seal/Open) that makes corrupt,
-// truncated or version-bumped input a detectable condition instead of a
-// panic or a garbage value.
+// snapshot format and every identity fingerprint: little-endian
+// fixed-width appenders, an error-latching Reader whose length reads can
+// never allocate past the buffer they decode from, a checksummed envelope
+// (Seal/Open) that makes corrupt, truncated or version-bumped input a
+// detectable condition instead of a panic or a garbage value, and
+// Fingerprint, the one domain-tagged hash over appended fields.
 //
 // The format is deliberately dumb: fixed-width integers, length-prefixed
 // byte strings, count-prefixed sequences. Every consumer (internal/oracle,
-// internal/search, internal/solve) re-derives whatever state it can from
-// the primary tables it decodes, so the wire shape stays small and a
-// malformed payload can at worst fail validation — it never becomes live
-// inconsistent state.
+// internal/search, internal/secureview, internal/solve) re-derives
+// whatever state it can from the primary tables it decodes, so the wire
+// shape stays small and a malformed payload can at worst fail validation —
+// it never becomes live inconsistent state.
 package wire
 
 import (

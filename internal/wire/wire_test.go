@@ -106,3 +106,32 @@ func TestSealOpen(t *testing.T) {
 		t.Fatal("empty input not rejected")
 	}
 }
+
+func TestStringsAndFloatMapRoundTrip(t *testing.T) {
+	buf := AppendStrings(nil, []string{"a b", "", "c"})
+	buf = AppendStrings(buf, nil)
+	buf = AppendFloatMap(buf, map[string]float64{"y": 2.5, "x": -1})
+	buf = AppendFloatMap(buf, nil)
+	r := NewReader(buf)
+	if got := r.Strings(); len(got) != 3 || got[0] != "a b" || got[1] != "" || got[2] != "c" {
+		t.Fatalf("Strings = %q", got)
+	}
+	if got := r.Strings(); got != nil {
+		t.Fatalf("empty Strings = %q", got)
+	}
+	if got := r.FloatMap(); len(got) != 2 || got["x"] != -1 || got["y"] != 2.5 {
+		t.Fatalf("FloatMap = %v", got)
+	}
+	if got := r.FloatMap(); got != nil {
+		t.Fatalf("empty FloatMap = %v", got)
+	}
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("err=%v remaining=%d", r.Err(), r.Remaining())
+	}
+	// Map encoding is independent of insertion order.
+	a := AppendFloatMap(nil, map[string]float64{"p": 1, "q": 2, "r": 3})
+	b := AppendFloatMap(nil, map[string]float64{"r": 3, "q": 2, "p": 1})
+	if string(a) != string(b) {
+		t.Fatal("equal maps encode differently")
+	}
+}
