@@ -32,8 +32,8 @@
 //	                     approx-labelcover, portfolio) with declared
 //	                     Capabilities, uniform Options and bound-certified
 //	                     Results, fingerprint-keyed Session caches (derived
-//	                     problems, compiled oracle tables, warm-start
-//	                     frontiers; length-prefixed collision-proof hashing,
+//	                     problems and warm-start frontiers;
+//	                     length-prefixed collision-proof hashing,
 //	                     size-accounted LRU eviction, delta derivation
 //	                     re-costing cached problems on cost-only re-derives)
 //	                     shared across goroutines, SolveBatch

@@ -486,34 +486,6 @@ func (c *Compiled) bumpBitsEpoch(sc *callScratch) {
 	sc.bVins = sc.bVins[:0]
 }
 
-// MemSize estimates the resident bytes of the compiled tables: digit
-// arrays, the input-code index, attribute names, and one pooled scratch
-// (keys plus the dense stamp tables when enabled). Callers use it for cache
-// accounting; it is an estimate, not exact heap usage.
-func (c *Compiled) MemSize() int64 {
-	size := int64(256) // struct, schema header, pool
-	for _, a := range c.attrs {
-		size += 16 + int64(len(a))
-	}
-	size += 8 * int64(len(c.inDoms)+len(c.outDoms))
-	size += 4 * int64(len(c.inDig)+len(c.outDig))
-	size += 16 * int64(len(c.inCodeRow))
-	// One callScratch: every concurrent safety test pools one, so a shared
-	// oracle typically holds a single reusable copy.
-	size += 8*int64(c.n) + 8*int64(c.n) // keys + vins capacity
-	switch {
-	case c.bitsOK:
-		size += 4 * int64(len(c.rowBits)+len(c.fieldBits))
-		size += 4 << (c.totalBits + c.bshift)    // bKeyStmp
-		size += 2 * (4 << (c.inBits + c.bshift)) // bVinStmp + bCnt
-		size += 4 * int64(c.n) << c.bshift       // bVins capacity
-	case c.dense:
-		size += 4 * int64(c.prodIn*c.prodOut) // keyStamp
-		size += 2 * 4 * int64(c.prodIn)       // vinStamp + cnt
-	}
-	return size
-}
-
 // K returns the universe size (inputs + outputs).
 func (c *Compiled) K() int { return c.nIn + c.nOut }
 

@@ -57,15 +57,20 @@ func TestMinCostTieBreakLexSmallest(t *testing.T) {
 		}
 	}
 
+	sp, err := mv.searchSpace(costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orc, comp := mv.maskOracles(sp, gamma)
 	for _, par := range []int{1, 4} {
-		res, err := mv.MinCostSafeSubsetOpts(costs, gamma, search.Options{Parallelism: par})
+		res, err := sp.MinCost(orc, CompiledSearchOptions(comp, costs, gamma, search.Options{Parallelism: par}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Found || res.Cost != bestCost {
 			t.Fatalf("par %d: cost %v, want %v", par, res.Cost, bestCost)
 		}
-		got := res.Hidden.Sorted()
+		got := sp.NameSet(res.Hidden).Sorted()
 		if !equalNames(got, want) {
 			t.Errorf("par %d: hidden %v, want lex-smallest optimum %v (all optima: %v)",
 				par, got, want, optima)
@@ -174,40 +179,29 @@ func TestEngineAgreesWithOracleScan(t *testing.T) {
 	}
 }
 
-// AllSafeVisibleSubsets and MinimalSafeHiddenSets keep their documented
-// deterministic order under parallel execution.
+// The minimal hidden sets keep their documented deterministic order under
+// parallel execution.
 func TestEnumerationDeterministicOrder(t *testing.T) {
 	mv := fig1View()
-	seq, err := mv.AllSafeVisibleSubsetsOpts(4, search.Options{Parallelism: 1})
+	sp, err := mv.searchSpace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := mv.AllSafeVisibleSubsetsOpts(4, search.Options{Parallelism: 4})
+	orc := mv.maskOracle(sp, 4)
+	seq, _, err := sp.MinimalSafeHidden(orc, search.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, _, err := sp.MinimalSafeHidden(orc, search.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != len(par) {
-		t.Fatalf("safe-set counts differ: %d vs %d", len(seq), len(par))
+		t.Fatalf("minimal-set counts differ: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if !seq[i].Equal(par[i]) {
-			t.Errorf("safe set %d differs: %v vs %v", i, seq[i], par[i])
-		}
-	}
-	mseq, err := mv.MinimalSafeHiddenSetsOpts(4, search.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpar, err := mv.MinimalSafeHiddenSetsOpts(4, search.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mseq) != len(mpar) {
-		t.Fatalf("minimal-set counts differ: %d vs %d", len(mseq), len(mpar))
-	}
-	for i := range mseq {
-		if !mseq[i].Equal(mpar[i]) {
-			t.Errorf("minimal set %d differs: %v vs %v", i, mseq[i], mpar[i])
+		if seq[i] != par[i] {
+			t.Errorf("minimal set %d differs: %v vs %v", i, sp.NameSet(seq[i]), sp.NameSet(par[i]))
 		}
 	}
 }

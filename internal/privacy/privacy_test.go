@@ -346,15 +346,17 @@ func TestQuickMinOutSizeIsMin(t *testing.T) {
 	}
 }
 
+// TestAllSafeVisibleSubsets: by Proposition 1 the minimal hidden sets
+// generate every safe solution, so a visible set is safe exactly when its
+// complement contains one of them.
 func TestAllSafeVisibleSubsets(t *testing.T) {
 	mv := fig1View()
-	subsets, err := mv.AllSafeVisibleSubsets(4)
+	minimal, err := mv.MinimalSafeHiddenSets(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every enumerated subset is safe and every safe subset is enumerated.
-	count := 0
 	attrs := mv.Attrs()
+	all := relation.NewNameSet(attrs...)
 	for mask := 0; mask < 1<<len(attrs); mask++ {
 		visible := make(relation.NameSet)
 		for i, a := range attrs {
@@ -362,13 +364,22 @@ func TestAllSafeVisibleSubsets(t *testing.T) {
 				visible.Add(a)
 			}
 		}
-		safe, _ := mv.IsSafe(visible, 4)
-		if safe {
-			count++
+		safe, err := mv.IsSafe(visible, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(subsets) != count {
-		t.Fatalf("enumerated %d safe subsets, exhaustive check says %d", len(subsets), count)
+		hidden := all.Minus(visible)
+		generated := false
+		for _, h := range minimal {
+			if h.SubsetOf(hidden) {
+				generated = true
+				break
+			}
+		}
+		if safe != generated {
+			t.Fatalf("visible %v: safe=%v but generated by the minimal hidden sets=%v",
+				visible.Sorted(), safe, generated)
+		}
 	}
 }
 

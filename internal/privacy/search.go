@@ -98,7 +98,7 @@ func (mv ModuleView) maskOracles(sp *search.Space, gamma uint64) (search.Oracle,
 }
 
 // maskOracle is maskOracles without the compiled handle, for the
-// enumeration entry points that cannot use batching or symmetry.
+// enumeration entry point, which cannot use batching or symmetry.
 func (mv ModuleView) maskOracle(sp *search.Space, gamma uint64) search.Oracle {
 	orc, _ := mv.maskOracles(sp, gamma)
 	return orc
@@ -169,12 +169,6 @@ func EqualCostClasses(classes [][]int, attrs []string, costs Costs) [][]int {
 // the hidden set that is lexicographically smallest as a sorted name
 // sequence, so the result is deterministic.
 func (mv ModuleView) MinCostSafeSubset(costs Costs, gamma uint64) (SearchResult, error) {
-	return mv.MinCostSafeSubsetOpts(costs, gamma, search.Options{})
-}
-
-// MinCostSafeSubsetOpts is MinCostSafeSubset with engine options (worker
-// parallelism).
-func (mv ModuleView) MinCostSafeSubsetOpts(costs Costs, gamma uint64, opts search.Options) (SearchResult, error) {
 	attrs := mv.Attrs()
 	if len(attrs) > search.MaxAttrs {
 		return SearchResult{}, fmt.Errorf("privacy: %d attributes too many for brute force", len(attrs))
@@ -184,6 +178,7 @@ func (mv ModuleView) MinCostSafeSubsetOpts(costs Costs, gamma uint64, opts searc
 		return SearchResult{}, fmt.Errorf("privacy: %w", err)
 	}
 	orc, comp := mv.maskOracles(sp, gamma)
+	var opts search.Options
 	if comp != nil {
 		opts = CompiledSearchOptions(comp, costs, gamma, opts)
 	}
@@ -206,34 +201,6 @@ func (mv ModuleView) MinCostSafeSubsetOpts(costs Costs, gamma uint64, opts searc
 	return out, nil
 }
 
-// AllSafeVisibleSubsets enumerates every visible subset V ⊆ I∪O that is
-// safe for Γ, in the engine's deterministic order. Exponential output;
-// intended for constraint-list derivation and tests.
-func (mv ModuleView) AllSafeVisibleSubsets(gamma uint64) ([]relation.NameSet, error) {
-	return mv.AllSafeVisibleSubsetsOpts(gamma, search.Options{})
-}
-
-// AllSafeVisibleSubsetsOpts is AllSafeVisibleSubsets with engine options.
-func (mv ModuleView) AllSafeVisibleSubsetsOpts(gamma uint64, opts search.Options) ([]relation.NameSet, error) {
-	attrs := mv.Attrs()
-	if len(attrs) > search.LevelMax {
-		return nil, fmt.Errorf("privacy: %d attributes too many to enumerate", len(attrs))
-	}
-	sp, err := mv.searchSpace(nil)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	masks, _, err := sp.AllSafeVisible(mv.maskOracle(sp, gamma), opts)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	out := make([]relation.NameSet, len(masks))
-	for i, m := range masks {
-		out[i] = sp.NameSet(m)
-	}
-	return out, nil
-}
-
 // MinimalSafeHiddenSets enumerates the inclusion-minimal hidden sets V̄ such
 // that V = (I∪O)\V̄ is safe for Γ. By Proposition 1 safety is monotone in
 // the hidden set, so these minimal sets generate all safe solutions and
@@ -241,11 +208,6 @@ func (mv ModuleView) AllSafeVisibleSubsetsOpts(gamma uint64, opts search.Options
 // problem with set constraints (section 4.2). The engine exploits the same
 // monotonicity to skip every dominated subset without a safety test.
 func (mv ModuleView) MinimalSafeHiddenSets(gamma uint64) ([]relation.NameSet, error) {
-	return mv.MinimalSafeHiddenSetsOpts(gamma, search.Options{})
-}
-
-// MinimalSafeHiddenSetsOpts is MinimalSafeHiddenSets with engine options.
-func (mv ModuleView) MinimalSafeHiddenSetsOpts(gamma uint64, opts search.Options) ([]relation.NameSet, error) {
 	attrs := mv.Attrs()
 	if len(attrs) > search.LevelMax {
 		return nil, fmt.Errorf("privacy: %d attributes too many to enumerate", len(attrs))
@@ -254,7 +216,7 @@ func (mv ModuleView) MinimalSafeHiddenSetsOpts(gamma uint64, opts search.Options
 	if err != nil {
 		return nil, fmt.Errorf("privacy: %w", err)
 	}
-	masks, _, err := sp.MinimalSafeHidden(mv.maskOracle(sp, gamma), opts)
+	masks, _, err := sp.MinimalSafeHidden(mv.maskOracle(sp, gamma), search.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("privacy: %w", err)
 	}

@@ -9,15 +9,22 @@ import (
 	"testing"
 )
 
-// countingBatch wraps an oracle as a BatchOracle that records pass count
-// and the largest batch it answered.
+// countingBatch lifts a per-mask oracle to a BatchOracle by looping, and
+// records the pass count and the largest batch it answered.
 func countingBatch(oracle Oracle) (BatchOracle, *atomic.Int64, *atomic.Int64) {
 	var passes, maxLen atomic.Int64
-	inner := Batched(oracle)
 	return func(visible []Mask) ([]bool, error) {
 		passes.Add(1)
 		raiseMax(&maxLen, int64(len(visible)))
-		return inner(visible)
+		out := make([]bool, len(visible))
+		for i, v := range visible {
+			safe, err := oracle(v)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = safe
+		}
+		return out, nil
 	}, &passes, &maxLen
 }
 

@@ -105,12 +105,23 @@ func DecodeFrontier(r *wire.Reader) (*Frontier, error) {
 	}
 	if nMemo > 0 {
 		f.memo = make(map[Mask]bool, nMemo)
+		var prev Mask
 		for i := 0; i < nMemo; i++ {
 			m := Mask(r.U32())
 			v := r.Bool()
-			if m&^all != 0 && r.Err() == nil {
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			if m&^all != 0 {
 				return nil, fmt.Errorf("search: decoded memo mask %b outside universe", m)
 			}
+			// AppendBinary writes the memo in strictly ascending mask
+			// order; a repeated or out-of-order mask is not an encoding
+			// of any frontier.
+			if i > 0 && m <= prev {
+				return nil, fmt.Errorf("search: decoded memo mask %b out of order", m)
+			}
+			prev = m
 			f.memo[m] = v
 		}
 	}

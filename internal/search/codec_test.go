@@ -116,3 +116,25 @@ func TestFrontierCodecValidation(t *testing.T) {
 		t.Fatal("out-of-universe mask decoded")
 	}
 }
+
+// FuzzDecodeFrontier feeds arbitrary bytes to DecodeFrontier. Decoding must
+// never panic, and a successful decode must be canonical: re-encoding the
+// frontier reproduces exactly the bytes it consumed. The committed seed
+// corpus (testdata/fuzz/FuzzDecodeFrontier) is the encoding of a frontier
+// exported by an engine solve on a server. Run actively with:
+//
+//	go test -run '^$' -fuzz '^FuzzDecodeFrontier$' -fuzztime 30s ./internal/search
+func FuzzDecodeFrontier(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := wire.NewReader(data)
+		fr, err := DecodeFrontier(r)
+		if err != nil {
+			return
+		}
+		used := data[:len(data)-r.Remaining()]
+		if got := fr.AppendBinary(nil); !bytes.Equal(got, used) {
+			t.Fatalf("re-encoding differs from the %d decoded bytes:\n got %x\nwant %x", len(used), got, used)
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secureview/internal/module"
+	"secureview/internal/oracle"
 	"secureview/internal/privacy"
 	"secureview/internal/relation"
 	"secureview/internal/search"
@@ -59,8 +60,16 @@ func TestEngineMatchesNaiveOnRandomModules(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		// The production configuration (compiled oracle, batched passes,
+		// symmetry classes) at several worker counts.
+		comp, err := mv.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled := func(v search.Mask) (bool, error) { return comp.IsSafe(oracle.Mask(v), gamma), nil }
 		for _, par := range []int{1, 4} {
-			res, err := mv.MinCostSafeSubsetOpts(costs, gamma, search.Options{Parallelism: par})
+			res, err := sp.MinCost(compiled,
+				privacy.CompiledSearchOptions(comp, costs, gamma, search.Options{Parallelism: par}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,26 +82,25 @@ func TestEngineMatchesNaiveOnRandomModules(t *testing.T) {
 					trial, par, k, gamma, res.Cost, naive.Cost, res.Hidden)
 			}
 			if res.Found {
-				safe, err := mv.IsSafe(res.Visible, gamma)
+				safe, err := mv.IsSafe(sp.NameSet(sp.All()&^res.Hidden), gamma)
 				if err != nil || !safe {
-					t.Fatalf("trial %d: returned subset unsafe: %v err=%v", trial, res.Hidden, err)
+					t.Fatalf("trial %d: returned subset unsafe: %v err=%v", trial, sp.NameSet(res.Hidden), err)
 				}
 			}
-			if res.Checked+res.Pruned != 1<<len(attrs) {
+			if res.Stats.Checked+res.Stats.Pruned != 1<<len(attrs) {
 				t.Fatalf("trial %d: counters %d+%d don't cover 2^%d",
-					trial, res.Checked, res.Pruned, len(attrs))
+					trial, res.Stats.Checked, res.Stats.Pruned, len(attrs))
 			}
 		}
 
-		// The enumeration APIs must agree with each other across
-		// parallelism too; spot-check via minimal hidden sets feeding the
-		// derive layer.
+		// The minimal hidden sets feeding the derive layer must not depend
+		// on the worker count either.
 		if k <= 6 {
-			m1, err := mv.MinimalSafeHiddenSetsOpts(gamma, search.Options{Parallelism: 1})
+			m1, _, err := sp.MinimalSafeHidden(compiled, search.Options{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m4, err := mv.MinimalSafeHiddenSetsOpts(gamma, search.Options{Parallelism: 4})
+			m4, _, err := sp.MinimalSafeHidden(compiled, search.Options{Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,8 +108,8 @@ func TestEngineMatchesNaiveOnRandomModules(t *testing.T) {
 				t.Fatalf("trial %d: minimal set counts differ: %d vs %d", trial, len(m1), len(m4))
 			}
 			for i := range m1 {
-				if !m1[i].Equal(m4[i]) {
-					t.Fatalf("trial %d: minimal set %d differs: %v vs %v", trial, i, m1[i], m4[i])
+				if m1[i] != m4[i] {
+					t.Fatalf("trial %d: minimal set %d differs: %b vs %b", trial, i, m1[i], m4[i])
 				}
 			}
 		}

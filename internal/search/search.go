@@ -238,40 +238,6 @@ type Oracle func(visible Mask) (bool, error)
 // per-mask oracle would answer for visible[i].
 type BatchOracle func(visible []Mask) ([]bool, error)
 
-// Batched lifts a per-mask oracle to the BatchOracle interface by looping —
-// no batching win, but it lets call sites treat both uniformly.
-func Batched(oracle Oracle) BatchOracle {
-	return func(visible []Mask) ([]bool, error) {
-		out := make([]bool, len(visible))
-		for i, v := range visible {
-			safe, err := oracle(v)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = safe
-		}
-		return out, nil
-	}
-}
-
-// Memoize wraps an oracle with a concurrency-safe memo so repeated queries
-// for the same visible mask (e.g. across engine calls sharing one oracle)
-// are answered once. Errors are not memoized.
-func Memoize(oracle Oracle) Oracle {
-	var memo sync.Map
-	return func(v Mask) (bool, error) {
-		if r, ok := memo.Load(v); ok {
-			return r.(bool), nil
-		}
-		safe, err := oracle(v)
-		if err != nil {
-			return false, err
-		}
-		memo.Store(v, safe)
-		return safe, nil
-	}
-}
-
 // DefaultFrontierCap is the Proposition 1 domination-store bound used when
 // Options.FrontierCap is zero.
 const DefaultFrontierCap = 256

@@ -97,7 +97,7 @@ type SolveResponse struct {
 	// Warm is true when the solver actually resumed from the request's base
 	// fingerprint; false on cold solves and when the base was unknown,
 	// evicted, or structurally incompatible.
-	Warm bool `json:"warm,omitempty"`
+	Warm bool `json:"warm"`
 }
 
 // BoundSpec is the certificate attached to a result: the LP lower bound

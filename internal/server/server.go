@@ -31,8 +31,8 @@
 // evicted base silently falls back to a cold solve (the response's "warm"
 // field reports which path ran), so chaining is always safe.
 //
-// The shared Session is size-accounted: derived problems, compiled oracle
-// tables and warm-start frontiers are evicted least-recently-used beyond
+// The shared Session is size-accounted: derived problems and warm-start
+// frontiers are evicted least-recently-used beyond
 // Config.SessionBytes, so serving an unbounded stream of distinct workflows
 // holds steady-state memory (watch /v1/stats to size the budget).
 package server
@@ -459,8 +459,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if res.Result.Frontier != nil {
 			s.sess.StoreWarm(jobFps[j], res.Result.Frontier)
 		}
-		elapsed := int64(0) // per-job wall clock is folded into the batch
-		code, resp, errMsg := mapOutcome(res.Result, res.Err, elapsed)
+		code, resp, errMsg := mapOutcome(res.Result, res.Err, res.Elapsed.Milliseconds())
 		if resp != nil {
 			resp.Fingerprint = jobFps[j]
 			resp.Warm = res.Result.Resumed

@@ -242,6 +242,51 @@ func (s *stallSolver) Solve(ctx context.Context, p *secureview.Problem, opts sol
 	}
 }
 
+// sleepSolver takes a fixed wall-clock time and returns an empty result.
+type sleepSolver struct {
+	name string
+	d    time.Duration
+}
+
+func (s *sleepSolver) Name() string { return s.name }
+
+func (s *sleepSolver) Capabilities() solve.Capabilities {
+	return solve.Capabilities{Cardinality: true, Set: true}
+}
+
+func (s *sleepSolver) Supports(p *secureview.Problem, v secureview.Variant) error { return nil }
+
+func (s *sleepSolver) Solve(ctx context.Context, p *secureview.Problem, opts solve.Options) (solve.Result, error) {
+	time.Sleep(s.d)
+	return solve.Result{Solver: s.name, Variant: opts.Variant}, nil
+}
+
+// TestBatchJobElapsed: every batch job reports the wall-clock time of its
+// own solve, not a placeholder zero.
+func TestBatchJobElapsed(t *testing.T) {
+	solve.Register(&sleepSolver{name: "test-sleep", d: 5 * time.Millisecond})
+	t.Cleanup(func() { solve.Deregister("test-sleep") })
+	_, ts := newTestServer(t, server.Config{})
+
+	job := server.SolveRequest{Generated: &server.GeneratedRef{Class: "sparse", Seed: 1}, Solver: "test-sleep"}
+	resp, raw := post(t, ts, "/v1/batch", server.BatchRequest{Jobs: []server.SolveRequest{job, job}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+	}
+	var batch server.BatchResponse
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch.Results {
+		if r.Response == nil {
+			t.Fatalf("job %d failed: %+v", i, r)
+		}
+		if r.Response.ElapsedMs < 5 {
+			t.Fatalf("job %d reports elapsedMs %d for a 5 ms solve", i, r.Response.ElapsedMs)
+		}
+	}
+}
+
 func TestAdmissionRejectsUnderSaturation(t *testing.T) {
 	stall := &stallSolver{
 		name:    "test-stall",

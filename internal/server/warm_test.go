@@ -161,6 +161,21 @@ func TestSolveWarmChaining(t *testing.T) {
 	}
 }
 
+// TestColdSolveSaysWarmFalse: a cold solve states "warm":false on the wire
+// rather than leaving the field out.
+func TestColdSolveSaysWarmFalse(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	resp, raw := post(t, ts, "/v1/solve", server.SolveRequest{
+		Spec: allPrivateDoc(t, `{"a1": 1, "a2": 2, "b1": 3, "b2": 4}`), Solver: "engine", Variant: "set",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if !bytes.Contains(raw, []byte(`"warm":false`)) {
+		t.Fatalf("cold solve body lacks \"warm\":false: %s", raw)
+	}
+}
+
 // TestWarmEvictionFallsBackCold is the eviction race: under a budget too
 // small to retain any warm state, a re-solve naming a just-returned
 // fingerprint must take the cold path (warm:false) and still return the

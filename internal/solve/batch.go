@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"secureview/internal/secureview"
 )
@@ -28,6 +29,9 @@ type JobResult struct {
 	Job    Job
 	Result Result
 	Err    error
+	// Elapsed is the wall-clock time of the job's Solve call (zero for a
+	// job failed before it started).
+	Elapsed time.Duration
 }
 
 // SolveBatch runs the jobs over a pool of workers (0 = GOMAXPROCS) and
@@ -66,7 +70,9 @@ func SolveBatch(ctx context.Context, jobs []Job, workers int) []JobResult {
 					out[i].Err = err
 					continue
 				}
+				start := time.Now()
 				out[i].Result, out[i].Err = Solve(ctx, jobs[i].Solver, jobs[i].Problem, jobs[i].Options)
+				out[i].Elapsed = time.Since(start)
 			}
 		}()
 	}

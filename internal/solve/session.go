@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"secureview/internal/oracle"
 	"secureview/internal/privacy"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
@@ -14,10 +13,10 @@ import (
 
 // Session caches the expensive immutable state behind repeated solve
 // requests: derived Secure-View problems (the per-module standalone
-// analyses of Theorems 4/8 dominate end-to-end latency) and compiled
-// internal/oracle tables, both keyed by content fingerprints so renamed
-// handles to the same workflow share entries. All cached values are
-// immutable after construction and safe to share across goroutines; a
+// analyses of Theorems 4/8 dominate end-to-end latency), keyed by content
+// fingerprints so renamed handles to the same workflow share entries, and
+// the warm-start frontiers of finished engine searches. All cached values
+// are immutable after construction and safe to share across goroutines; a
 // Session is safe for concurrent use, and concurrent requests for the same
 // fingerprint perform the work once (later arrivals block on the first).
 //
@@ -37,7 +36,6 @@ type Session struct {
 	maxBytes int64
 	bytes    int64
 	problems map[string]*sessionEntry
-	oracles  map[string]*sessionEntry
 	warm     map[string]*sessionEntry
 	// structIdx maps a derivation's cost-independent structure key to the
 	// most recent completed problem entry with that structure, powering the
@@ -46,7 +44,7 @@ type Session struct {
 	// the per-module analyses. Maintained under mu; entries are removed when
 	// the backing problem entry is evicted.
 	structIdx map[string]*sessionEntry
-	// LRU list over all caches; front = most recently used.
+	// LRU list over both caches; front = most recently used.
 	front, back  *sessionEntry
 	hits         int
 	misses       int
@@ -56,7 +54,7 @@ type Session struct {
 	deltaDerives int
 }
 
-// sessionEntry is one cached derivation or compilation. done/size/p/c/err
+// sessionEntry is one cached derivation or warm frontier. done/size/p/err
 // are guarded by mu (the singleflight lock: the first caller derives while
 // later arrivals block); the list links and the accounted/evicted flags are
 // guarded by the Session mutex. accounted marks that size has been added to
@@ -70,7 +68,6 @@ type sessionEntry struct {
 	done bool
 	size int64
 	p    *secureview.Problem
-	c    *oracle.Compiled
 	err  error
 
 	prev, next *sessionEntry
@@ -88,8 +85,7 @@ type sessionEntry struct {
 type entryKind int8
 
 const (
-	kindOracle entryKind = iota
-	kindProblem
+	kindProblem entryKind = iota
 	kindWarm
 )
 
@@ -100,13 +96,12 @@ func NewSession() *Session {
 
 // NewSessionBytes returns an empty session that keeps its accounted cache
 // size at or below maxBytes by LRU eviction (0 = unbounded). The accounting
-// is an estimate of resident size (problem specs, compiled oracle tables
-// and their pooled scratch), not exact heap usage.
+// is an estimate of resident size (problem specs and warm frontiers), not
+// exact heap usage.
 func NewSessionBytes(maxBytes int64) *Session {
 	return &Session{
 		maxBytes:  maxBytes,
 		problems:  make(map[string]*sessionEntry),
-		oracles:   make(map[string]*sessionEntry),
 		warm:      make(map[string]*sessionEntry),
 		structIdx: make(map[string]*sessionEntry),
 	}
@@ -115,8 +110,8 @@ func NewSessionBytes(maxBytes int64) *Session {
 // SessionStats is a snapshot of cache effectiveness and occupancy. The
 // JSON tags are the wire shape internal/server exposes at /v1/stats.
 type SessionStats struct {
-	// Hits counts requests served from a completed cache entry; Misses
-	// counts derivations/compilations actually performed.
+	// Hits counts requests served from a completed problem entry; Misses
+	// counts derivations actually performed.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// Evictions counts entries removed under memory pressure.
@@ -131,7 +126,7 @@ type SessionStats struct {
 	// structurally identical problem instead of re-running the per-module
 	// analyses (a subset of Misses).
 	DeltaDerives int `json:"deltaDerives"`
-	// Entries and Bytes are the current occupancy across all caches;
+	// Entries and Bytes are the current occupancy across both caches;
 	// MaxBytes echoes the configured budget (0 = unbounded). Bytes never
 	// exceeds MaxBytes when a budget is set.
 	Entries  int   `json:"entries"`
@@ -140,7 +135,7 @@ type SessionStats struct {
 }
 
 // Stats reports cache hits, misses, evictions and current occupancy across
-// both caches.
+// the problem and warm caches.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,7 +146,7 @@ func (s *Session) Stats() SessionStats {
 		WarmHits:     s.warmHits,
 		WarmMisses:   s.warmMisses,
 		DeltaDerives: s.deltaDerives,
-		Entries:      len(s.problems) + len(s.oracles) + len(s.warm),
+		Entries:      len(s.problems) + len(s.warm),
 		Bytes:        s.bytes,
 		MaxBytes:     s.maxBytes,
 	}
@@ -159,14 +154,10 @@ func (s *Session) Stats() SessionStats {
 
 // mapFor returns the cache map an entry kind lives in. Caller holds s.mu.
 func (s *Session) mapFor(k entryKind) map[string]*sessionEntry {
-	switch k {
-	case kindProblem:
-		return s.problems
-	case kindWarm:
+	if k == kindWarm {
 		return s.warm
-	default:
-		return s.oracles
 	}
+	return s.problems
 }
 
 // lookup returns the entry for key in the given cache, creating it on first
@@ -216,20 +207,15 @@ func (s *Session) unlinkLocked(e *sessionEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// commit records a finished entry's size and evicts LRU entries until the
-// budget holds again. The just-finished entry itself is evictable: a single
-// value larger than the whole budget is dropped immediately (the caller
-// keeps its pointer; only future requests re-derive), so the accounted
-// total never exceeds the budget.
-func (s *Session) commit(e *sessionEntry) {
-	s.commitProblem(e, "", false)
-}
-
-// commitProblem is commit with the problem-only extras: on a successful
-// derivation it publishes the entry in the structure index (enabling later
-// DeltaDerives), and records whether this derivation itself was served by
-// delta re-costing.
-func (s *Session) commitProblem(e *sessionEntry, structKey string, delta bool) {
+// commit records a finished derivation's size and evicts LRU entries
+// until the budget holds again. The just-finished entry itself is
+// evictable: a single value larger than the whole budget is dropped
+// immediately (the caller keeps its pointer; only future requests
+// re-derive), so the accounted total never exceeds the budget. On a
+// successful derivation it publishes the entry in the structure index
+// (enabling later DeltaDerives), and records whether this derivation
+// itself was served by delta re-costing.
+func (s *Session) commit(e *sessionEntry, structKey string, delta bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.misses++
@@ -339,7 +325,7 @@ func workflowKeys(w *workflow.Workflow, v secureview.Variant, gamma uint64,
 
 // deltaSource returns the cached problem to re-cost for the given structure
 // key, or nil when none is available. Entries reached through structIdx are
-// complete (commitProblem indexes only successful derivations) and
+// complete (commit indexes only successful derivations) and
 // immutable, so reading p under s.mu alone is safe: the index insertion
 // happened under s.mu after the derivation wrote p.
 func (s *Session) deltaSource(structKey string) *secureview.Problem {
@@ -427,35 +413,8 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 	e.size = problemSize(e.p)
 	p, err := e.p, e.err
 	e.mu.Unlock()
-	s.commitProblem(e, structKey, delta)
+	s.commit(e, structKey, delta)
 	return p, err
-}
-
-// Compiled returns the compiled integer-coded oracle tables for the module
-// view, compiling on first use and sharing the immutable result across all
-// later requests for the same functionality.
-func (s *Session) Compiled(mv privacy.ModuleView) (*oracle.Compiled, error) {
-	key := wire.Fingerprint("solve/oracle/v3", mv.AppendBinary(nil))
-	e := s.lookup(string(key[:]), kindOracle)
-	e.mu.Lock()
-	if e.done {
-		c, err := e.c, e.err
-		e.mu.Unlock()
-		s.mu.Lock()
-		s.hits++
-		s.mu.Unlock()
-		return c, err
-	}
-	e.c, e.err = mv.Compile()
-	e.done = true
-	e.size = entrySize
-	if e.c != nil {
-		e.size += e.c.MemSize()
-	}
-	c, err := e.c, e.err
-	e.mu.Unlock()
-	s.commit(e)
-	return c, err
 }
 
 // entrySize is the fixed accounting overhead per cache entry (SHA-256 key,

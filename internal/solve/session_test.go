@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"secureview/internal/gen"
-	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
 )
@@ -83,47 +82,36 @@ func TestSessionEvictionStaysUnderBudget(t *testing.T) {
 	}
 }
 
-// TestSessionEvictionCoversOracles: compiled oracle tables are accounted
-// and evicted under the same budget as derived problems.
-func TestSessionEvictionCoversOracles(t *testing.T) {
-	sess := solve.NewSessionBytes(8 << 10)
-	wide := func(t testing.TB, seed int64) *gen.Instance {
+// TestSessionEvictionKeepsHotEntry: LRU eviction, not FIFO — an entry
+// touched between every new derivation is moved back to the front and
+// survives pressure that evicts everything around it.
+func TestSessionEvictionKeepsHotEntry(t *testing.T) {
+	const capBytes = 8 << 10
+	ctx := context.Background()
+	sess := solve.NewSessionBytes(capBytes)
+	derive := func(seed int64) *secureview.Problem {
 		t.Helper()
-		it, err := gen.New(gen.Config{Topology: gen.Chain, Modules: 3, FanIn: 2, FanOut: 2}, seed)
+		it := tinyInstance(t, seed)
+		p, err := sess.Problem(ctx, it.W, secureview.Set, it.Gamma, it.Costs, it.PrivatizeCosts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		return it
+		return p
 	}
-	for seed := int64(0); seed < 40; seed++ {
-		it := wide(t, seed)
-		for _, m := range it.W.PrivateModules() {
-			if _, err := sess.Compiled(privacy.NewModuleView(m)); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if st := sess.Stats(); st.Bytes > st.MaxBytes {
-				t.Fatalf("seed %d: %d bytes over the %d budget", seed, st.Bytes, st.MaxBytes)
-			}
+	hot := derive(1000)
+	before := sess.Stats()
+	for seed := int64(2000); seed < 2040; seed++ {
+		derive(seed)
+		if st := sess.Stats(); st.Bytes > capBytes {
+			t.Fatalf("seed %d: %d bytes over the %d budget", seed, st.Bytes, capBytes)
+		}
+		misses := sess.Stats().Misses
+		if again := derive(1000); again != hot || sess.Stats().Misses != misses {
+			t.Fatalf("seed %d: hot entry evicted while continuously used (shared=%v)", seed, again == hot)
 		}
 	}
-	if st := sess.Stats(); st.Evictions == 0 {
-		t.Fatal("no oracle evictions under pressure")
-	}
-
-	// A hot entry is touched back to the front and survives pressure.
-	hot := privacy.NewModuleView(wide(t, 1000).W.PrivateModules()[0])
-	first, err := sess.Compiled(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(2000); seed < 2010; seed++ {
-		it := wide(t, seed)
-		if _, err := sess.Compiled(privacy.NewModuleView(it.W.PrivateModules()[0])); err != nil {
-			t.Fatal(err)
-		}
-		if again, err := sess.Compiled(hot); err != nil || again != first {
-			t.Fatalf("hot entry evicted while continuously used (err=%v, shared=%v)", err, again == first)
-		}
+	if st := sess.Stats(); st.Evictions == before.Evictions {
+		t.Fatalf("no evictions under pressure: %+v", st)
 	}
 }
 

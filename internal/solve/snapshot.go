@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"secureview/internal/oracle"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
 	"secureview/internal/wire"
@@ -13,12 +12,13 @@ import (
 )
 
 // Session snapshot/restore: the hot state a warmed server carries — derived
-// problems, compiled oracle tables, warm-start frontiers — serialized to a
-// versioned, checksummed binary stream so a restart (or a fresh replica)
-// boots with the cache it would otherwise spend minutes re-deriving.
+// problems and warm-start frontiers, exactly the two kinds of Session entry
+// — serialized to a versioned, checksummed binary stream so a restart (or a
+// fresh replica) boots with the cache it would otherwise spend minutes
+// re-deriving.
 //
 // Restore is all-or-nothing and trust-bounded: the whole payload is
-// CRC-verified and fully decoded (every count, domain, digit and mask
+// CRC-verified and fully decoded (every count, key, name and mask
 // re-validated by the per-package codecs) before a single entry is
 // installed, so a corrupt, truncated or version-bumped file degrades to an
 // empty session instead of a panic, a poisoned cache, or an error loop.
@@ -28,11 +28,11 @@ import (
 
 // SnapshotVersion is the wire version of the session snapshot format. It
 // must be bumped on ANY change to the entry encodings below, to the codecs
-// in internal/oracle, internal/search and internal/secureview, or to the
-// fingerprints that form the entry keys; restore refuses other versions
+// in internal/search and internal/secureview, or to the fingerprints that
+// form the entry keys; restore refuses other versions
 // outright — snapshots are rebuildable caches, so cross-version migration
 // is deliberately not attempted.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 // StructuralFingerprint returns the hex cost-independent structure key of a
 // derivation request. Cost-only edits of a workflow share it, which is what
@@ -71,13 +71,6 @@ func (s *Session) Snapshot(w io.Writer) error {
 			enc = wire.AppendString(enc, e.key)
 			enc = wire.AppendString(enc, e.structKey)
 			enc = e.p.AppendBinary(enc)
-		case kindOracle:
-			if e.c == nil {
-				continue
-			}
-			enc = wire.AppendU32(enc, uint32(kindOracle))
-			enc = wire.AppendString(enc, e.key)
-			enc = e.c.AppendBinary(enc)
 		case kindWarm:
 			if e.f == nil {
 				continue
@@ -85,8 +78,6 @@ func (s *Session) Snapshot(w io.Writer) error {
 			enc = wire.AppendU32(enc, uint32(kindWarm))
 			enc = wire.AppendString(enc, e.key)
 			enc = e.f.AppendBinary(enc)
-		default:
-			continue
 		}
 		body = append(body, enc...)
 		n++
@@ -106,7 +97,6 @@ type restoredEntry struct {
 	key       string
 	structKey string
 	p         *secureview.Problem
-	c         *oracle.Compiled
 	f         *search.Frontier
 }
 
@@ -163,13 +153,6 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 			if re.p, err = secureview.DecodeProblem(r); err != nil {
 				return 0, err
 			}
-		case kindOracle:
-			if len(re.key) != wire.FingerprintSize {
-				return 0, fmt.Errorf("solve: snapshot oracle key of %d bytes", len(re.key))
-			}
-			if re.c, err = oracle.DecodeCompiled(r); err != nil {
-				return 0, err
-			}
 		case kindWarm:
 			if len(re.key) != 2*wire.FingerprintSize {
 				return 0, fmt.Errorf("solve: snapshot warm key of %d bytes", len(re.key))
@@ -203,9 +186,6 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 			e.p = re.p
 			e.size = problemSize(re.p)
 			e.structKey = re.structKey
-		case kindOracle:
-			e.c = re.c
-			e.size = entrySize + re.c.MemSize()
 		case kindWarm:
 			e.f = re.f
 			e.size = entrySize + int64(len(re.key)) + re.f.MemSize()

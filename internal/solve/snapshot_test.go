@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"secureview/internal/gen"
-	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
 	"secureview/internal/wire"
 )
 
-// populatedSession derives, compiles and warm-solves every generator class
-// into one session, returning the solve results the restored session must
+// populateSession derives and solves every generator class into one
+// session, returning the solve results the restored session must
 // reproduce. Engine results carry frontiers, which also populates the warm
 // tier.
 type popResult struct {
@@ -44,12 +43,6 @@ func populateSession(t *testing.T, sess *solve.Session) []popResult {
 					sess.StoreWarm(solve.ProblemFingerprint(p, v), res.Frontier)
 				}
 				out = append(out, popResult{inst, v, sv.Name(), res})
-			}
-		}
-		// The compiled-oracle tier, via each module's standalone view.
-		for _, m := range inst.W.Modules() {
-			if _, err := sess.Compiled(privacy.NewModuleView(m)); err != nil {
-				t.Fatalf("%s: compile: %v", c.Name, err)
 			}
 		}
 	}
@@ -255,8 +248,9 @@ func TestRestoreKeepsLiveEntries(t *testing.T) {
 // pass the envelope checksum, to RestoreSession. Restore must never panic
 // and is all-or-nothing: either it fails and the session is empty, or it
 // installs every entry the payload declares. The committed seed corpus
-// (testdata/fuzz/FuzzRestoreSession) is the payload of a real snapshot
-// holding problem, compiled-oracle and warm entries. Run actively with:
+// (testdata/fuzz/FuzzRestoreSession) is the payload of a snapshot written
+// by a server after engine solves, holding problem and warm entries. Run
+// actively with:
 //
 //	go test -run '^$' -fuzz '^FuzzRestoreSession$' -fuzztime 30s ./internal/solve
 func FuzzRestoreSession(f *testing.F) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"secureview/internal/gen"
-	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
 )
@@ -202,25 +201,6 @@ func TestSessionSharesDerivations(t *testing.T) {
 	}
 	if !bytes.Equal(direct.AppendBinary(nil), got[0].AppendBinary(nil)) {
 		t.Fatal("session-derived problem differs from Instance.Derive")
-	}
-}
-
-// TestSessionCompiledOracleShared: same module view, one compilation,
-// shared pointer; and the compiled oracle answers like the interpreted one.
-func TestSessionCompiledOracleShared(t *testing.T) {
-	it := gen.MustNew(gen.Config{Topology: gen.Chain, Modules: 3}, 1)
-	sess := solve.NewSession()
-	mv := privacy.NewModuleView(it.W.PrivateModules()[0])
-	a, err := sess.Compiled(mv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sess.Compiled(mv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("same module view compiled twice")
 	}
 }
 
